@@ -8,8 +8,7 @@ and the nvprof counters the evaluation reports.
 
 from repro.gpu.spec import GPUSpec, V100, T4, A100
 from repro.gpu.occupancy import (OccupancyResult, clear_occupancy_cache,
-                                 occupancy, occupancy_cache_info,
-                                 set_occupancy_cache_size)
+                                 occupancy, occupancy_cache_info)
 from repro.gpu.counters import PerfCounters
 from repro.gpu.costmodel import (KernelCostInputs, KernelCostModel,
                                  cost_model_for)
@@ -35,7 +34,6 @@ __all__ = [
     "clear_caches",
     "clear_occupancy_cache",
     "occupancy_cache_info",
-    "set_occupancy_cache_size",
     "GPUSpec",
     "V100",
     "T4",

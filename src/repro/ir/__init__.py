@@ -18,7 +18,7 @@ from repro.ir.ops import (
 from repro.ir.graph import Graph, Node
 from repro.ir.builder import GraphBuilder
 from repro.ir.fingerprint import fingerprints_equal, graph_fingerprint
-from repro.ir.interpreter import Interpreter, evaluate
+from repro.ir.interpreter import evaluate
 from repro.ir import patterns
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Graph",
     "Node",
     "GraphBuilder",
-    "Interpreter",
     "evaluate",
     "fingerprints_equal",
     "graph_fingerprint",

@@ -12,7 +12,7 @@ never fuse into them.
 Graphs are interpreted through a precompiled :class:`GraphProgram`: the
 topological order, parameter dtype/shape checks, operand slots, broadcast
 dimensions, reduce axes and constant values are all resolved once per
-graph, so a repeated :meth:`Interpreter.run` is a flat loop over bound
+graph, so a repeated :func:`evaluate` is a flat loop over bound
 NumPy closures with no per-call graph traversal.
 """
 
@@ -223,7 +223,7 @@ class GraphProgram:
 
     def run(self, feeds: Mapping[str, np.ndarray],
             ) -> dict[str, np.ndarray]:
-        """Evaluate the graph (same contract as :meth:`Interpreter.run`)."""
+        """Evaluate the graph (same contract as :func:`evaluate`)."""
         values: list[Optional[np.ndarray]] = [None] * self._num_slots
         for slot, name, dtype, dims in self._params:
             if name not in feeds:
@@ -241,7 +241,7 @@ class GraphProgram:
 
 
 # Programs are pure derivations of a (built, immutable) graph, so one per
-# graph object serves every Interpreter/evaluate call in the process —
+# graph object serves every evaluate call in the process —
 # same lifetime assumption as the fingerprint memo in repro.ir.fingerprint.
 _PROGRAMS: "weakref.WeakKeyDictionary[Graph, GraphProgram]" \
     = weakref.WeakKeyDictionary()
@@ -256,36 +256,23 @@ def graph_program(graph: Graph) -> GraphProgram:
     return program
 
 
-class Interpreter:
-    """Evaluates a whole graph in topological order."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._program: Optional[GraphProgram] = None
-
-    def run(self, feeds: Mapping[str, np.ndarray],
-            ) -> dict[str, np.ndarray]:
-        """Evaluate the graph.
-
-        Args:
-            feeds: Parameter name -> input array.  Parameter names are the
-                *base* names given to :meth:`GraphBuilder.parameter`.
-
-        Returns:
-            Output node name -> value, for every graph output.
-
-        Raises:
-            KeyError: If a parameter has no feed.
-        """
-        if self._program is None:
-            self._program = graph_program(self.graph)
-        return self._program.run(feeds)
-
-
 def evaluate(graph: Graph, feeds: Mapping[str, np.ndarray],
              ) -> dict[str, np.ndarray]:
-    """One-shot convenience wrapper around :class:`Interpreter`."""
-    return Interpreter(graph).run(feeds)
+    """Evaluate ``graph`` through its memoized :class:`GraphProgram`.
+
+    Args:
+        graph: The graph to evaluate.
+        feeds: Parameter name -> input array.  Parameter names are the
+            *base* names given to :meth:`GraphBuilder.parameter`.
+
+    Returns:
+        Output node name -> value, for every graph output.
+
+    Raises:
+        KeyError: If a parameter has no feed.
+        ValueError: If a feed's shape disagrees with its parameter.
+    """
+    return graph_program(graph).run(feeds)
 
 
 def random_feeds(graph: Graph, seed: int = 0,

@@ -11,7 +11,6 @@ from repro.runtime.amp import convert_to_amp
 from repro.runtime.plan import (
     ExecutionPlan,
     PlanCache,
-    PlanCacheStats,
     PlanKey,
     default_plan_cache,
     module_pricing_signature,
@@ -40,7 +39,7 @@ from repro.runtime.session import Session
 
 __all__ = ["Engine", "EngineConfig", "Profile", "StepProfile",
            "convert_to_amp",
-           "ExecutionPlan", "PlanCache", "PlanCacheStats", "PlanKey",
+           "ExecutionPlan", "PlanCache", "PlanKey",
            "default_plan_cache", "module_pricing_signature", "plan_key",
            "set_default_plan_cache",
            "CacheKey", "CacheStats", "CompileCache",

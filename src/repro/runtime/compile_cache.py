@@ -9,29 +9,25 @@ runs*.  A compiled module is addressed by what produced it:
 
 where the graph fingerprint is the structural content hash of
 :mod:`repro.ir.fingerprint` and the compiler fingerprint covers the
-strategy class plus its configuration.  Two tiers:
-
-* an in-memory LRU tier (bounded, with hit/miss/eviction counters);
-* an optional on-disk tier of pickled modules under a cache directory —
-  point ``REPRO_COMPILE_CACHE_DIR`` at a persistent location and warm
-  compilations survive process restarts.  Entries are validated against
-  the format version and the full key on load, so a stale or foreign
-  file degrades to a miss, never a wrong module.
+strategy class plus its configuration.  The store is the shared
+:class:`~repro.tiered_cache.TieredCache`: a bounded in-memory LRU tier
+plus an optional on-disk tier of pickled modules — point
+``REPRO_COMPILE_CACHE_DIR`` at a persistent location and warm
+compilations survive process restarts.  Entries are validated against
+the format version, the full key and the value type on load, so a stale
+or foreign file degrades to a miss, never a wrong module.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
-import os
-import pathlib
-import pickle
-import sys
 import threading
 from typing import Optional
 
 from repro.compilers.base import CompiledModule, Compiler
+# CACHE_DIR_ENV and CacheStats are re-exported: callers import them here.
+from repro.tiered_cache import CACHE_DIR_ENV, CacheStats, TieredCache
 
 # Bump on any change to the pickle payload layout or key composition;
 # invalidates every persisted entry at once.  v2: keys carry the
@@ -42,12 +38,6 @@ CACHE_FORMAT_VERSION = 2
 # Default in-memory capacity: compiled modules are a few MB of Python
 # objects at most; hundreds fit comfortably.
 DEFAULT_CAPACITY = 256
-
-CACHE_DIR_ENV = "REPRO_COMPILE_CACHE_DIR"
-
-# Workload graphs nest operand references deeply; pickling a long
-# elementwise chain recurses once per node.
-_PICKLE_RECURSION_LIMIT = 100_000
 
 
 def compiler_fingerprint(compiler: Compiler) -> str:
@@ -98,168 +88,16 @@ class CacheKey:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Cache behaviour counters.
-
-    Attributes:
-        hits: Requests served from the in-memory tier.
-        disk_hits: Requests served from the persistent tier (and
-            promoted into memory).
-        misses: Requests neither tier could serve.
-        evictions: Entries dropped from memory by the LRU bound
-            (entries already persisted remain on disk).
-        disk_stores: Modules written to the persistent tier.
-    """
-
-    hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    disk_stores: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.disk_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served by either tier (0.0 when idle)."""
-        if not self.requests:
-            return 0.0
-        return (self.hits + self.disk_hits) / self.requests
-
-
-def _pickle_dumps(payload) -> bytes:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _PICKLE_RECURSION_LIMIT))
-    try:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-class CompileCache:
-    """Two-tier (memory LRU + optional disk) store of compiled modules.
+class CompileCache(TieredCache[CacheKey, CompiledModule]):
+    """Two-tier store of compiled modules, persisted as ``<digest>.pkl``.
 
     Thread-safe: the compile service hits it from worker threads.
-
-    Args:
-        capacity: In-memory entry bound; the least recently used entry
-            is evicted past it.
-        cache_dir: Directory for the persistent tier; ``None`` keeps the
-            cache memory-only (use :meth:`from_env` to honour
-            ``REPRO_COMPILE_CACHE_DIR``).
     """
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 cache_dir: Optional[str | os.PathLike] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.cache_dir = (pathlib.Path(cache_dir)
-                          if cache_dir is not None else None)
-        self.stats = CacheStats()
-        self._entries: "collections.OrderedDict[CacheKey, CompiledModule]" \
-            = collections.OrderedDict()
-        self._lock = threading.RLock()
-
-    @classmethod
-    def from_env(cls, capacity: int = DEFAULT_CAPACITY) -> "CompileCache":
-        """A cache whose persistent tier follows the environment:
-        set ``REPRO_COMPILE_CACHE_DIR`` to enable it."""
-        return cls(capacity=capacity,
-                   cache_dir=os.environ.get(CACHE_DIR_ENV) or None)
-
-    # -- lookup / store ---------------------------------------------------------
-
-    def get(self, key: CacheKey) -> Optional[CompiledModule]:
-        """The cached module for ``key``, or None (counts a miss)."""
-        with self._lock:
-            module = self._entries.get(key)
-            if module is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return module
-            module = self._disk_load(key)
-            if module is not None:
-                self.stats.disk_hits += 1
-                self._insert(key, module)
-                return module
-            self.stats.misses += 1
-            return None
-
-    def put(self, key: CacheKey, module: CompiledModule) -> None:
-        """Store ``module`` in both tiers (disk only when configured)."""
-        with self._lock:
-            self._insert(key, module)
-            self._disk_store(key, module)
-
-    def _insert(self, key: CacheKey, module: CompiledModule) -> None:
-        self._entries[key] = module
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop the in-memory tier (the persistent tier is untouched)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # -- persistent tier --------------------------------------------------------
-
-    def _path(self, key: CacheKey) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key.digest()}.pkl"
-
-    def _disk_load(self, key: CacheKey) -> Optional[CompiledModule]:
-        path = self._path(key)
-        if path is None:
-            return None
-        try:
-            payload = pickle.loads(path.read_bytes())
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CACHE_FORMAT_VERSION
-                or payload.get("key") != key):
-            return None
-        module = payload.get("module")
-        return module if isinstance(module, CompiledModule) else None
-
-    def _disk_store(self, key: CacheKey, module: CompiledModule) -> None:
-        path = self._path(key)
-        if path is None:
-            return
-        payload = {"version": CACHE_FORMAT_VERSION, "key": key,
-                   "module": module}
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            blob = _pickle_dumps(payload)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            tmp.replace(path)
-        except OSError:
-            return  # a read-only cache dir degrades to memory-only
-        self.stats.disk_stores += 1
-
-    def __repr__(self) -> str:
-        tier = str(self.cache_dir) if self.cache_dir else "memory-only"
-        return (f"CompileCache(entries={len(self)}/{self.capacity}, "
-                f"dir={tier}, hits={self.stats.hits}, "
-                f"disk_hits={self.stats.disk_hits}, "
-                f"misses={self.stats.misses})")
+    file_prefix = ""
+    format_version = CACHE_FORMAT_VERSION
+    value_type = CompiledModule
+    default_capacity = DEFAULT_CAPACITY
 
 
 # -- process-wide default ---------------------------------------------------------

@@ -127,8 +127,7 @@ class TestSpecs:
 
 
 class TestOccupancyCacheControls:
-    """The bounded, configurable memo that replaced the module's
-    unbounded ``functools.lru_cache``."""
+    """The bounded occupancy memo (a memory-only ``TieredCache``)."""
 
     def setup_method(self):
         from repro.gpu.occupancy import clear_occupancy_cache
@@ -151,29 +150,6 @@ class TestOccupancyCacheControls:
         info = occupancy_cache_info()
         assert info["entries"] == 0
         assert info["hits"] == 0 and info["misses"] == 0
-
-    def test_resize_bounds_entries(self):
-        from repro.gpu.occupancy import (occupancy_cache_info,
-                                         set_occupancy_cache_size)
-        try:
-            set_occupancy_cache_size(4)
-            for block in (32, 64, 128, 256, 512, 1024):
-                occupancy(V100, block)
-            info = occupancy_cache_info()
-            assert info["entries"] <= 4
-            assert info["maxsize"] == 4
-        finally:
-            set_occupancy_cache_size(4096)
-
-    def test_env_var_sets_initial_size(self, monkeypatch):
-        # ``import repro.gpu.occupancy as m`` resolves to the *function*
-        # the package re-exports under the same name; go via sys.modules.
-        import sys
-        occ_mod = sys.modules["repro.gpu.occupancy"]
-        monkeypatch.setenv("REPRO_OCCUPANCY_CACHE_SIZE", "7")
-        assert occ_mod._initial_cache_size() == 7
-        monkeypatch.setenv("REPRO_OCCUPANCY_CACHE_SIZE", "garbage")
-        assert occ_mod._initial_cache_size() == occ_mod._DEFAULT_CACHE_SIZE
 
     def test_keys_on_full_spec_value(self):
         # Two specs differing in any field must not share entries.

@@ -15,7 +15,7 @@ from repro.core import AStitchCompiler
 from repro.gpu.spec import V100
 from repro.ir import graph as graph_mod
 from repro.ir import interpreter as interpreter_mod
-from repro.ir.interpreter import Interpreter, graph_program, random_feeds
+from repro.ir.interpreter import evaluate, graph_program, random_feeds
 from repro.workloads import micro
 
 
@@ -46,12 +46,11 @@ class TestInterpreterHoisting:
     def test_traversal_happens_once_across_runs(self, count_toposort):
         graph = micro.softmax_graph(16, 8)
         feeds = random_feeds(graph)
-        interp = Interpreter(graph)
-        first = interp.run(feeds)
+        first = evaluate(graph, feeds)
         after_first = count_toposort.calls
         assert after_first >= 1
-        second = interp.run(feeds)
-        third = interp.run(feeds)
+        second = evaluate(graph, feeds)
+        third = evaluate(graph, feeds)
         assert count_toposort.calls == after_first
         for name in first:
             np.testing.assert_array_equal(first[name], second[name])
@@ -60,11 +59,11 @@ class TestInterpreterHoisting:
     def test_program_shared_across_interpreters(self, count_toposort):
         graph = micro.softmax_graph(16, 8)
         feeds = random_feeds(graph)
-        Interpreter(graph).run(feeds)
+        graph_program(graph).run(feeds)
         baseline = count_toposort.calls
-        # A second interpreter over the *same* graph object reuses the
+        # Every later evaluation of the *same* graph object reuses the
         # memoized program: zero further traversals.
-        Interpreter(graph).run(feeds)
+        evaluate(graph, feeds)
         assert count_toposort.calls == baseline
         assert graph_program(graph) is graph_program(graph)
 
@@ -72,27 +71,26 @@ class TestInterpreterHoisting:
         graph = micro.softmax_graph(16, 8)
         counter = _Counter(interpreter_mod.compile_node)
         monkeypatch.setattr(interpreter_mod, "compile_node", counter)
-        interp = Interpreter(graph)
         feeds = random_feeds(graph)
-        interp.run(feeds)
+        evaluate(graph, feeds)
         compiled = counter.calls
         assert compiled >= 1
-        interp.run(feeds)
-        interp.run(feeds)
+        evaluate(graph, feeds)
+        evaluate(graph, feeds)
         assert counter.calls == compiled
 
     def test_missing_feed_message_preserved(self):
         graph = micro.softmax_graph(8, 8)
         name = graph.parameters[0].name
         with pytest.raises(KeyError, match=f"missing feed for parameter {name}"):
-            Interpreter(graph).run({})
+            evaluate(graph, {})
 
     def test_shape_mismatch_message_preserved(self):
         graph = micro.softmax_graph(8, 8)
         param = graph.parameters[0]
         bad = {param.name: np.zeros((3, 3), dtype=param.dtype.to_numpy())}
         with pytest.raises(ValueError, match="has shape .* expected"):
-            Interpreter(graph).run(bad)
+            evaluate(graph, bad)
 
 
 class TestExecutorHoisting:
@@ -133,7 +131,7 @@ class TestExecutorHoisting:
         module = self._module()
         feeds = random_feeds(module.graph, seed=7)
         got = module.execute(feeds)
-        want = Interpreter(module.graph).run(feeds)
+        want = evaluate(module.graph, feeds)
         assert set(got) == set(want)
         for name in want:
             np.testing.assert_allclose(got[name], want[name],

@@ -11,7 +11,6 @@ from repro.gpu.spec import T4, V100
 from repro.runtime import engine as engine_mod
 from repro.runtime.engine import Engine, EngineConfig
 from repro.runtime.plan import (
-    PLAN_FORMAT_VERSION,
     ExecutionPlan,
     PlanCache,
     PlanKey,
@@ -189,31 +188,6 @@ class TestPlanCache:
         assert loaded.total_time == plan.total_time
         assert [s.duration for s in loaded.steps] \
             == [s.duration for s in plan.steps]
-
-    def test_disk_version_mismatch_misses(self, tmp_path):
-        module = _module()
-        store = PlanCache(cache_dir=tmp_path)
-        plan = Engine(plan_cache=store).plan(module)
-        key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key.digest()}.pkl"
-        payload = pickle.loads(path.read_bytes())
-        assert payload["version"] == PLAN_FORMAT_VERSION
-        payload["version"] = PLAN_FORMAT_VERSION + 1
-        path.write_bytes(pickle.dumps(payload))
-        load = PlanCache(cache_dir=tmp_path)
-        assert load.get(key) is None
-        del plan
-
-    def test_corrupt_disk_entry_ignored(self, tmp_path):
-        module = _module()
-        store = PlanCache(cache_dir=tmp_path)
-        Engine(plan_cache=store).plan(module)
-        key = plan_key(module, V100, EngineConfig.current())
-        path = tmp_path / f"plan_{key.digest()}.pkl"
-        path.write_bytes(b"not a pickle")
-        load = PlanCache(cache_dir=tmp_path)
-        assert load.get(key) is None
-        assert load.stats.misses == 1
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))

@@ -15,7 +15,6 @@ from repro.core import AStitchCompiler, AStitchConfig
 from repro.gpu.spec import T4, V100
 from repro.runtime.engine import Engine
 from repro.tuning import (
-    TUNING_FORMAT_VERSION,
     GroupSignature,
     GroupTuner,
     TunedDecision,
@@ -168,15 +167,6 @@ class TestTuningCache:
         assert cache.get(key) == self._decision()
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
-    def test_disk_round_trip(self, tmp_path):
-        key = self._key()
-        TuningCache(cache_dir=tmp_path).put(key, self._decision())
-        assert list(tmp_path.glob("tune_*.pkl"))
-        # A brand-new process-equivalent cache serves it from disk.
-        fresh = TuningCache(cache_dir=tmp_path)
-        assert fresh.get(key) == self._decision()
-        assert fresh.stats.disk_hits == 1
-
     def test_spec_change_misses(self, tmp_path):
         cache = TuningCache(cache_dir=tmp_path)
         cache.put(self._key(), self._decision())
@@ -193,26 +183,6 @@ class TestTuningCache:
         cache = TuningCache()
         cache.put(self._key(), self._decision())
         assert cache.get(self._key(sig=elementwise_sig())) is None
-
-    def test_format_version_bump_invalidates_disk(self, tmp_path,
-                                                  monkeypatch):
-        key = self._key()
-        TuningCache(cache_dir=tmp_path).put(key, self._decision())
-        from repro.tuning import cache as cache_mod
-        monkeypatch.setattr(cache_mod, "TUNING_FORMAT_VERSION",
-                            TUNING_FORMAT_VERSION + 1)
-        stale = TuningCache(cache_dir=tmp_path)
-        assert stale.get(key) is None
-        assert stale.stats.misses == 1
-
-    def test_corrupt_file_degrades_to_miss(self, tmp_path):
-        cache = TuningCache(cache_dir=tmp_path)
-        key = self._key()
-        cache.put(key, self._decision())
-        for path in tmp_path.glob("tune_*.pkl"):
-            path.write_bytes(b"not a pickle")
-        fresh = TuningCache(cache_dir=tmp_path)
-        assert fresh.get(key) is None
 
     def test_lru_eviction(self):
         cache = TuningCache(capacity=2)
