@@ -12,7 +12,8 @@ alongside.  Results go to ``BENCH_hotpath.json`` (repo root and
 ``benchmarks/results/``).
 
 Acceptance bars asserted here: >= 10,000 requests, >= 5x warm-vs-cold
-wall clock, and byte-identical metrics versus the scalar slow path.
+wall clock, identical cold and warm metrics, and every service time
+equal to the scalar reference pricing.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def test_bench_hotpath():
         f"warm loadtest only {load['speedup']:.1f}x faster than cold "
         f"(floor {SPEEDUP_FLOOR}x)")
     assert payload["figure_harness"]["speedup"] >= SPEEDUP_FLOOR
-    # The fast path must be invisible in the numbers: warm/cold plan-path
-    # and scalar slow-path reports are identical bit for bit.
+    # The fast path must be invisible in the numbers: cold and warm
+    # reports are identical, and every service time equals scalar
+    # ``Engine.price_profile`` bit for bit.
     assert payload["deterministic"]
     # Warm passes replay cached plans instead of re-pricing.
     assert payload["plan_cache"]["hits"] >= payload["plan_cache"]["misses"]

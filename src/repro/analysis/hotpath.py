@@ -14,8 +14,9 @@ clock:
   cold process state (fresh compile cache, fresh plan cache, fresh
   oracle) versus a warm one (fresh oracle, warm caches) — the
   "serve heavy traffic" number;
-* **determinism guard** — the warm fast-path metrics report must be
-  byte-identical to the scalar slow path's (``use_plans=False``).
+* **determinism guard** — the cold and warm metrics reports must be
+  equal, and every service time the oracle priced must equal the scalar
+  reference ``Engine(spec, plan_cache=None).price_profile``.
 
 Used by ``benchmarks/test_bench_hotpath.py`` and the ``repro bench``
 CLI subcommand; both write the payload to ``BENCH_hotpath.json``.
@@ -77,33 +78,35 @@ def run_hotpath_bench(qps: float = 250.0,
     buckets = bucket_sizes(max_batch)
 
     # -- end-to-end loadtest: cold process state vs. warm caches ----------
-    def loadtest(use_plans: bool):
-        oracle = ServiceTimeOracle(
-            compiler, service=service, use_plans=use_plans,
-            plan_cache=plan_cache if use_plans else None)
-        return run_loadtest(demand, duration=duration, specs=specs,
-                            max_batch=max_batch, seed=seed,
-                            compiler=compiler, oracle=oracle)
+    def loadtest():
+        oracle = ServiceTimeOracle(compiler, service=service,
+                                   plan_cache=plan_cache)
+        result, summary = run_loadtest(demand, duration=duration,
+                                       specs=specs, max_batch=max_batch,
+                                       seed=seed, compiler=compiler,
+                                       oracle=oracle)
+        return oracle, result, summary
 
-    cold_seconds, (cold_result, cold_report) = _timed(
-        lambda: loadtest(True))
-    warm_seconds, (warm_result, warm_report) = _timed(
-        lambda: loadtest(True))
+    cold_seconds, (_, cold_result, cold_report) = _timed(loadtest)
+    warm_seconds, (oracle, _, warm_report) = _timed(loadtest)
     loadtest_speedup = (cold_seconds / warm_seconds
                         if warm_seconds else float("inf"))
 
-    # -- determinism guard: fast path vs. scalar slow path ----------------
-    slow_seconds, (slow_result, slow_report) = _timed(
-        lambda: loadtest(False))
-    fast_dict = warm_report.as_dict()
-    slow_dict = slow_report.as_dict()
-    deterministic = (
-        json.dumps(fast_dict, sort_keys=True)
-        == json.dumps(slow_dict, sort_keys=True)
-        and cold_report.as_dict() == fast_dict)
+    # -- determinism guard: cold vs. warm, plan vs. scalar pricing --------
+    from repro.workloads import build_cached
+    deterministic = (json.dumps(cold_report.as_dict(), sort_keys=True)
+                     == json.dumps(warm_report.as_dict(), sort_keys=True))
+    for device in dict.fromkeys(specs):
+        scalar = Engine(device, plan_cache=None)
+        for name in workloads:
+            for bucket in buckets:
+                module = service.compile(build_cached(name, batch=bucket),
+                                         compiler, device)
+                deterministic = deterministic and (
+                    oracle.service_time(name, bucket, device)
+                    == scalar.price_profile(module).total_time)
 
     # -- per-module plan micro-timings ------------------------------------
-    from repro.workloads import build_cached
     spec = specs[0]
     plan_rows = []
     for name in workloads:
@@ -149,7 +152,6 @@ def run_hotpath_bench(qps: float = 250.0,
             "requests": len(cold_result.requests),
             "cold_seconds": cold_seconds,
             "warm_seconds": warm_seconds,
-            "slow_path_seconds": slow_seconds,
             "speedup": loadtest_speedup,
             "completed": cold_report.as_dict()["completed"],
         },
@@ -179,12 +181,11 @@ def render_hotpath_report(payload: dict) -> str:
         "",
         f"loadtest: {load['requests']} requests, "
         f"cold {load['cold_seconds']:.3f}s -> warm "
-        f"{load['warm_seconds']:.3f}s ({load['speedup']:.1f}x); "
-        f"scalar slow path {load['slow_path_seconds']:.3f}s",
+        f"{load['warm_seconds']:.3f}s ({load['speedup']:.1f}x)",
         f"figure harness: {figure['modules']} modules, "
         f"cold {figure['cold_seconds']:.3f}s -> warm "
         f"{figure['warm_seconds']:.3f}s ({figure['speedup']:.1f}x)",
-        f"deterministic vs slow path: {payload['deterministic']}",
+        f"deterministic vs scalar pricing: {payload['deterministic']}",
         "",
         f"{'workload':<12} {'bucket':>6} {'steps':>6} "
         f"{'build (ms)':>11} {'replay (ms)':>12}",

@@ -367,7 +367,8 @@ def cmd_bench(args) -> int:
     mixed loadtest on a cold process state versus warm caches, the
     figure-harness pricing loop, and per-module plan build/replay
     micro-timings.  Exits non-zero when the warm/cold speedup misses
-    ``--floor`` or the fast path diverges from the scalar slow path.
+    ``--floor``, the cold and warm reports differ, or a service time
+    differs from scalar ``Engine.price_profile``.
     """
     import json
     import pathlib
@@ -391,8 +392,8 @@ def cmd_bench(args) -> int:
 
     failures = []
     if not payload["deterministic"]:
-        failures.append("plan fast path diverged from the scalar "
-                        "slow path")
+        failures.append("cold/warm reports differ or a service time "
+                        "differs from scalar price_profile")
     speedup = payload["loadtest"]["speedup"]
     if speedup < args.floor:
         failures.append(f"warm loadtest only {speedup:.1f}x faster "

@@ -95,8 +95,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 # Ops whose evaluation depends only on operand values — one bound NumPy
-# expression per kind, shared by the per-call path (:func:`evaluate_node`)
-# and the precompiled path (:func:`compile_node`) so they cannot drift.
+# expression per kind; :func:`compile_node` returns these as they are.
 _SIMPLE_FNS: dict[OpKind, Callable[[list[np.ndarray]], np.ndarray]] = {
     OpKind.ADD: lambda inputs: inputs[0] + inputs[1],
     OpKind.SUBTRACT: lambda inputs: inputs[0] - inputs[1],
@@ -125,35 +124,12 @@ _SIMPLE_FNS: dict[OpKind, Callable[[list[np.ndarray]], np.ndarray]] = {
 }
 
 
-def evaluate_node(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
-    """Evaluate one node given its already-computed operand values."""
-    kind = node.kind
-    if kind is OpKind.CONSTANT:
-        return constant_value(node)
-    fn = _SIMPLE_FNS.get(kind)
-    if fn is not None:
-        return fn(inputs)
-    if kind is OpKind.BROADCAST:
-        return apply_broadcast(inputs[0], node.shape.dims,
-                               node.broadcast_dims)
-    if kind is OpKind.RESHAPE:
-        return inputs[0].reshape(node.shape.dims)
-    if kind is OpKind.TRANSPOSE:
-        return inputs[0].transpose(node.attrs["permutation"])
-    if kind is OpKind.REDUCE:
-        return _reduce(inputs[0], node.reduce_axes, node.reduce_kind)
-    if node.is_compute_intensive():
-        return library_call(node, inputs)
-    raise ValueError(f"cannot evaluate {kind}")
-
-
 def compile_node(node: Node) -> Callable[[list[np.ndarray]], np.ndarray]:
     """Bind ``node``'s evaluation into a closure over its attributes.
 
     Shape dims, broadcast dimensions, permutations, reduce axes and
     constant values are resolved now, once; the returned callable only
-    touches the operand values.  Numerics are those of
-    :func:`evaluate_node` exactly — simple ops share its function table.
+    touches the operand values.
 
     Raises:
         ValueError: If the node kind cannot be evaluated.
@@ -183,6 +159,11 @@ def compile_node(node: Node) -> Callable[[list[np.ndarray]], np.ndarray]:
     if node.is_compute_intensive():
         return lambda inputs: library_call(node, inputs)
     raise ValueError(f"cannot evaluate {kind}")
+
+
+def evaluate_node(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
+    """Evaluate one node given its already-computed operand values."""
+    return compile_node(node)(inputs)
 
 
 class GraphProgram:

@@ -9,7 +9,6 @@ OVERHEAD (launches, framework scheduling, memcpy) — the Fig 13 breakdown.
 from repro.runtime.engine import Engine, EngineConfig, Profile, StepProfile
 from repro.runtime.amp import convert_to_amp
 from repro.runtime.plan import (
-    ExecutionPlan,
     PlanCache,
     PlanKey,
     default_plan_cache,
@@ -39,7 +38,7 @@ from repro.runtime.session import Session
 
 __all__ = ["Engine", "EngineConfig", "Profile", "StepProfile",
            "convert_to_amp",
-           "ExecutionPlan", "PlanCache", "PlanKey",
+           "PlanCache", "PlanKey",
            "default_plan_cache", "module_pricing_signature", "plan_key",
            "set_default_plan_cache",
            "CacheKey", "CacheStats", "CompileCache",

@@ -8,8 +8,9 @@ runs*.  A compiled module is addressed by what produced it:
     (compiler fingerprint, graph fingerprint, device spec, optimize flag)
 
 where the graph fingerprint is the structural content hash of
-:mod:`repro.ir.fingerprint` and the compiler fingerprint covers the
-strategy class plus its configuration.  The store is the shared
+:mod:`repro.ir.fingerprint`, the compiler fingerprint covers the
+strategy class plus its configuration, and the device spec is taken by
+value (every field, not just its name).  The store is the shared
 :class:`~repro.tiered_cache.TieredCache`: a bounded in-memory LRU tier
 plus an optional on-disk tier of pickled modules — point
 ``REPRO_COMPILE_CACHE_DIR`` at a persistent location and warm
@@ -26,14 +27,16 @@ import threading
 from typing import Optional
 
 from repro.compilers.base import CompiledModule, Compiler
+from repro.gpu.spec import GPUSpec
 # CACHE_DIR_ENV and CacheStats are re-exported: callers import them here.
 from repro.tiered_cache import CACHE_DIR_ENV, CacheStats, TieredCache
 
 # Bump on any change to the pickle payload layout or key composition;
 # invalidates every persisted entry at once.  v2: keys carry the
 # compiler's pipeline fingerprint, so recomposing a pass pipeline
-# invalidates its cached artifacts instead of aliasing them.
-CACHE_FORMAT_VERSION = 2
+# invalidates its cached artifacts instead of aliasing them.  v3: keys
+# carry the whole device spec, not its name.
+CACHE_FORMAT_VERSION = 3
 
 # Default in-memory capacity: compiled modules are a few MB of Python
 # objects at most; hundreds fit comfortably.
@@ -64,7 +67,8 @@ class CacheKey:
     Attributes:
         compiler: Compiler fingerprint (:func:`compiler_fingerprint`).
         graph: Structural graph fingerprint.
-        spec: Device spec name (``V100``/``T4``/``A100``).
+        spec: Device spec, by value — two specs that share a name but
+            differ in any field never share an artifact.
         optimize: Whether the retained simplification pipeline ran
             before kernel formation (``compile_optimized`` vs
             ``compile``).
@@ -76,14 +80,15 @@ class CacheKey:
 
     compiler: str
     graph: str
-    spec: str
+    spec: GPUSpec
     optimize: bool
     pipeline: str = ""
 
     def digest(self) -> str:
         """Stable hex digest — the persistent tier's file name."""
         text = "|".join([f"v{CACHE_FORMAT_VERSION}", self.compiler,
-                         self.graph, self.spec, str(self.optimize),
+                         self.graph, repr(dataclasses.astuple(self.spec)),
+                         str(self.optimize),
                          self.pipeline])
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

@@ -122,7 +122,7 @@ class CompileService:
         """The cache key a request addresses."""
         return CacheKey(compiler=compiler_fingerprint(compiler),
                         graph=graph_fingerprint(graph),
-                        spec=spec.name, optimize=optimize,
+                        spec=spec, optimize=optimize,
                         pipeline=compiler.pipeline_fingerprint(optimize))
 
     def submit(self, graph: Graph, compiler: Compiler,

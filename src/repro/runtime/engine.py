@@ -89,13 +89,24 @@ class StepProfile:
     counters: Optional[PerfCounters] = None
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Profile:
-    """The priced timeline of one iteration."""
+    """The immutable priced timeline of one iteration.
+
+    This is also the execution plan the
+    :class:`~repro.runtime.plan.PlanCache` stores: one object per
+    (module, spec, config), shared by every engine, session and serving
+    oracle that prices the same module.
+
+    Attributes:
+        module_name: Compiler name that produced the module.
+        graph_name: Source graph's display name.
+        steps: Per-step timing records, in execution order.
+    """
 
     module_name: str
     graph_name: str
-    steps: list[StepProfile]
+    steps: tuple[StepProfile, ...]
 
     @property
     def mem_time(self) -> float:
@@ -141,12 +152,13 @@ class Engine:
     """Prices compiled modules on a device model.
 
     Pricing is plan-based: :meth:`plan` prices a module once into an
-    immutable :class:`~repro.runtime.plan.ExecutionPlan` keyed by
-    (module pricing signature, graph fingerprint, spec, engine config)
-    in a shared :class:`~repro.runtime.plan.PlanCache`; :meth:`run` is
-    then a cheap replay of the cached per-step timeline.  The serving
-    hot loops and the figure harnesses therefore pay the roofline
-    arithmetic O(unique (module, spec, config)) times, not O(requests).
+    immutable :class:`Profile` keyed by (module pricing signature, graph
+    fingerprint, spec, engine config) in a shared
+    :class:`~repro.runtime.plan.PlanCache`; :meth:`run` returns the
+    cached timeline.  The serving hot loops and the figure harnesses
+    therefore pay the roofline arithmetic O(unique (module, spec,
+    config)) times, not O(requests).  :meth:`price_profile` is the
+    scalar reference the plan path must equal.
 
     Args:
         spec: Device model to price on.
@@ -155,8 +167,7 @@ class Engine:
         plan_cache: Execution-plan store.  Defaults to the process-wide
             cache (:func:`~repro.runtime.plan.default_plan_cache`);
             pass ``None`` to disable plan caching — every ``run``/
-            ``plan`` then re-prices (the slow path the determinism
-            guard compares against).
+            ``plan`` then re-prices.
     """
 
     def __init__(self, spec: GPUSpec = V100,
@@ -227,12 +238,12 @@ class Engine:
             counters=counters,
         )
 
-    def plan(self, module: CompiledModule) -> "ExecutionPlan":
-        """The execution plan for ``module`` (priced on first use).
+    def plan(self, module: CompiledModule) -> Profile:
+        """The priced timeline of ``module`` (priced on first use).
 
         Cache hits — including across engines, sessions, serving
         oracles, and (with ``REPRO_COMPILE_CACHE_DIR``) process runs —
-        return the stored immutable plan without touching the cost
+        return the stored immutable profile without touching the cost
         model.
         """
         from repro.runtime.plan import plan_key
@@ -246,14 +257,13 @@ class Engine:
             cache.put(key, plan)
         return plan
 
-    def build_plan(self, module: CompiledModule) -> "ExecutionPlan":
-        """Price every step of one iteration into an immutable plan.
+    def build_plan(self, module: CompiledModule) -> Profile:
+        """Price every step of one iteration into an immutable profile.
 
         Memory-intensive kernels are priced through the cost model's
         vectorized batch path — one NumPy pass over the whole module —
         which is bit-identical to the scalar per-step path.
         """
-        from repro.runtime.plan import ExecutionPlan
         launch, dispatch = self.launch_costs(module)
         kernel_steps = [s for s in module.steps if isinstance(s, Kernel)]
         priced = iter(self.cost_model.price_batch(
@@ -265,20 +275,21 @@ class Engine:
                                                   launch, dispatch))
             else:
                 steps.append(self.price_step(step, launch, dispatch))
-        return ExecutionPlan.from_steps(module.compiler_name,
-                                        module.graph.name, tuple(steps))
+        return Profile(module.compiler_name, module.graph.name,
+                       tuple(steps))
 
     def run(self, module: CompiledModule) -> Profile:
-        """Price every step of one iteration (replayed from the plan)."""
-        return self.plan(module).profile()
+        """Price every step of one iteration (served from the plan
+        cache)."""
+        return self.plan(module)
 
     def price_profile(self, module: CompiledModule) -> Profile:
         """The reference slow path: scalar per-step pricing, no plans.
 
-        Kept as the oracle the determinism guard compares the plan/
-        vectorized fast path against — byte-identical output required.
+        Kept as the oracle the plan path is checked against — tests,
+        ``repro bench`` and the benchmark require equal output.
         """
         launch, dispatch = self.launch_costs(module)
-        steps = [self.price_step(step, launch, dispatch)
-                 for step in module.steps]
+        steps = tuple(self.price_step(step, launch, dispatch)
+                      for step in module.steps)
         return Profile(module.compiler_name, module.graph.name, steps)

@@ -5,12 +5,12 @@ module's pricing-relevant content (its steps' launch configurations,
 traffic and instruction counts), the device spec, and the engine
 configuration.  This module makes that purity pay: the
 :class:`~repro.runtime.engine.Engine` prices a module once into an
-immutable :class:`ExecutionPlan` and every later request — from any
-engine, session, serving oracle or figure harness in the process — is a
-cache hit that replays the stored per-step timeline.  The serving
-capacity search, which runs dozens of load tests over the same
-(workload, bucket, spec) modules, goes from O(requests x steps) pricing
-work to O(unique modules).
+immutable :class:`~repro.runtime.engine.Profile` — the module's
+*execution plan*.  Every later request — from any engine, session,
+serving oracle or figure harness in the process — is a cache hit that
+returns that same object.  The serving capacity search, which runs
+dozens of load tests over the same (workload, bucket, spec) modules,
+goes from O(requests x steps) pricing work to O(unique modules).
 
 The cache key never trusts object identity:
 
@@ -41,87 +41,20 @@ from typing import Optional
 from repro.codegen.builder import kernel_cost_inputs
 from repro.codegen.kernel import Kernel, LibraryCall, MemcpyCall
 from repro.compilers.base import CompiledModule
-from repro.gpu.counters import PerfCounters, aggregate
 from repro.gpu.spec import GPUSpec
 from repro.ir.fingerprint import graph_fingerprint
-from repro.runtime.engine import EngineConfig, Profile, StepProfile
+from repro.runtime.engine import EngineConfig, Profile
 from repro.tiered_cache import TieredCache
 
 # Bump on any change to the plan payload, the signature encoding or the
-# key composition; invalidates every persisted plan at once.
+# key composition; invalidates every persisted plan at once.  It is
+# folded into every module pricing signature.  A payload whose class no
+# longer exists fails to unpickle and is a miss without a bump.
 PLAN_FORMAT_VERSION = 2
 
 # In-memory entry bound: a plan is a few KB of floats per step; even the
 # 8k-step Transformer plans keep hundreds of entries comfortable.
 DEFAULT_CAPACITY = 512
-
-
-@dataclasses.dataclass(frozen=True)
-class ExecutionPlan:
-    """The immutable priced timeline of one module iteration.
-
-    Replay is a cheap array walk: the per-step profiles and the
-    category totals are computed once at build time; :meth:`profile`
-    just wraps the stored steps in a fresh :class:`Profile`.
-
-    Attributes:
-        module_name: Compiler name that produced the module.
-        graph_name: Source graph's display name.
-        steps: Per-step timing records, in execution order.
-        mem_time: Total memory-intensive kernel seconds.
-        compute_time: Total library-call seconds.
-        overhead_time: Total non-computation seconds.
-        mem_kernel_count: Memory-intensive kernels in the timeline.
-        compute_kernel_count: Library calls in the timeline.
-        memcpy_count: Memcpy/memset activities in the timeline.
-    """
-
-    module_name: str
-    graph_name: str
-    steps: tuple[StepProfile, ...]
-    mem_time: float
-    compute_time: float
-    overhead_time: float
-    mem_kernel_count: int
-    compute_kernel_count: int
-    memcpy_count: int
-
-    @classmethod
-    def from_steps(cls, module_name: str, graph_name: str,
-                   steps: tuple[StepProfile, ...]) -> "ExecutionPlan":
-        """Build a plan, totalling the steps exactly like ``Profile``
-        does (same iteration order, same float addition sequence)."""
-        return cls(
-            module_name=module_name,
-            graph_name=graph_name,
-            steps=steps,
-            mem_time=sum(s.duration for s in steps
-                         if s.category == "mem"),
-            compute_time=sum(s.duration for s in steps
-                             if s.category == "compute"),
-            overhead_time=sum(s.overhead for s in steps),
-            mem_kernel_count=sum(1 for s in steps
-                                 if s.category == "mem"),
-            compute_kernel_count=sum(1 for s in steps
-                                     if s.category == "compute"),
-            memcpy_count=sum(1 for s in steps
-                             if s.category == "memcpy"),
-        )
-
-    @property
-    def total_time(self) -> float:
-        """One iteration's seconds (MEM + compute + OVERHEAD)."""
-        return self.mem_time + self.compute_time + self.overhead_time
-
-    def profile(self) -> Profile:
-        """Replay the plan as a :class:`Profile` (cheap; shares the
-        immutable step records)."""
-        return Profile(self.module_name, self.graph_name,
-                       list(self.steps))
-
-    def aggregate_mem_counters(self) -> PerfCounters:
-        return aggregate(s.counters for s in self.steps
-                         if s.category == "mem" and s.counters is not None)
 
 
 def module_pricing_signature(module: CompiledModule) -> str:
@@ -203,8 +136,8 @@ def plan_key(module: CompiledModule, spec: GPUSpec,
                    pipeline=getattr(module, "pipeline_fingerprint", ""))
 
 
-class PlanCache(TieredCache[PlanKey, ExecutionPlan]):
-    """Two-tier store of execution plans, persisted as
+class PlanCache(TieredCache[PlanKey, Profile]):
+    """Two-tier store of priced profiles, persisted as
     ``plan_<digest>.pkl`` next to the compiled modules.
 
     Thread-safe: serving workers and session threads share the
@@ -213,7 +146,7 @@ class PlanCache(TieredCache[PlanKey, ExecutionPlan]):
 
     file_prefix = "plan_"
     format_version = PLAN_FORMAT_VERSION
-    value_type = ExecutionPlan
+    value_type = Profile
     default_capacity = DEFAULT_CAPACITY
 
 

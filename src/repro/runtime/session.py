@@ -5,7 +5,7 @@ AStitch engine and change nothing else — compilation happens behind the
 first call.  ``Session`` is that surface for this library: hand it
 graphs and feeds, it compiles each graph once (optionally through the
 retained simplification pipeline), caches the module, executes the
-numerics, and keeps the priced profiles for inspection.
+numerics, and prices each module through the shared plan cache.
 
     session = Session()                       # AStitch on a model V100
     outputs = session.run(graph, {"x": data})
@@ -38,8 +38,8 @@ class Session:
     """Compile-once, run-many execution façade.
 
     Safe for concurrent use: one session may be hammered from many
-    threads (module/profile caches are lock-guarded, first-compile
-    races deduplicate through the compile service's single-flight).
+    threads (the module cache is lock-guarded, first-compile races
+    deduplicate through the compile service's single-flight).
 
     Args:
         compiler: Compilation strategy (AStitch when omitted).
@@ -66,13 +66,12 @@ class Session:
         self.engine = Engine(spec)
         # One session may serve many threads (the serving layer's
         # workers, user thread pools): every read-modify-write of the
-        # caches below happens under this lock.  Compilation itself is
+        # state below happens under this lock.  Compilation itself is
         # left outside the critical section — the compile service does
         # its own single-flight dedup, so concurrent first calls are
         # coalesced there instead of serializing here.
         self._lock = threading.Lock()
         self._modules: dict[str, tuple[Graph, CompiledModule]] = {}
-        self._profiles: dict[str, Profile] = {}
         self.iterations = 0
 
     def module(self, graph: Graph) -> CompiledModule:
@@ -110,26 +109,11 @@ class Session:
             renamed[original.name] = raw[compiled.name]
         return renamed
 
-    def plan(self, graph: Graph):
-        """The cached execution plan of one iteration of ``graph``.
-
-        Compiles on first use, then resolves through the engine's
-        :class:`~repro.runtime.plan.PlanCache` — the same plan object is
-        shared with every other session pricing the same (module, spec,
+    def profile(self, graph: Graph) -> Profile:
+        """The priced profile of one iteration of ``graph`` — the
+        engine's cached plan, one shared object per (module, spec,
         config)."""
         return self.engine.plan(self.module(graph))
-
-    def profile(self, graph: Graph) -> Profile:
-        """The priced profile of one iteration of ``graph`` (replayed
-        from the cached execution plan)."""
-        key = graph_fingerprint(graph)
-        with self._lock:
-            cached = self._profiles.get(key)
-        if cached is None:
-            fresh = self.engine.run(self.module(graph))
-            with self._lock:
-                cached = self._profiles.setdefault(key, fresh)
-        return cached
 
     def pass_reports(self, graph: Graph):
         """Per-pass instrumentation of ``graph``'s compilation.

@@ -107,12 +107,6 @@ class Cluster:
         """The fleet's shared service-time oracle."""
         return self.workers[0].oracle
 
-    @property
-    def plan_cache(self):
-        """The execution-plan cache the fleet's pricing rides
-        (None when the oracle uses the scalar slow path)."""
-        return self.oracle.plan_cache
-
     # -- scheduling decisions ---------------------------------------------------
 
     def _next_batch(self, pending: list[Batch]) -> Batch:

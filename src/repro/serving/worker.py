@@ -35,56 +35,47 @@ class ServiceTimeOracle:
     (workload, bucket, device) another oracle already priced — a later
     load test, a capacity search probe — hits the shared
     :class:`~repro.runtime.plan.PlanCache` instead of re-walking the
-    cost model.
+    cost model.  Devices are keyed by their full spec value, so two
+    specs that share a name but differ in any field never share a time.
 
     Args:
         compiler: Compilation strategy the fleet runs.
         service: Compile service to route through; defaults to the
             process-wide shared one.
-        use_plans: Route pricing through cached execution plans.  Pass
-            False to re-price every first lookup through the scalar
-            slow path (the determinism guard's reference).
         plan_cache: Plan cache the oracle's engines share; defaults to
-            the process-wide one.  Ignored when ``use_plans`` is False.
+            the process-wide one.
     """
 
-    def __init__(self, compiler: Compiler, service=None,
-                 use_plans: bool = True, plan_cache=None):
+    def __init__(self, compiler: Compiler, service=None, plan_cache=None):
         if service is None:
             from repro.runtime.compile_service import default_service
             service = default_service()
-        self.compiler = compiler
-        self.service = service
-        self.use_plans = use_plans
-        if plan_cache is None and use_plans:
+        if plan_cache is None:
             from repro.runtime.plan import default_plan_cache
             plan_cache = default_plan_cache()
+        self.compiler = compiler
+        self.service = service
         self.plan_cache = plan_cache
-        self._times: dict[tuple[str, int, str], float] = {}
-        self._engines: dict[str, Engine] = {}
+        self._times: dict[tuple[str, int, GPUSpec], float] = {}
+        self._engines: dict[GPUSpec, Engine] = {}
 
     def _engine(self, spec: GPUSpec) -> Engine:
-        engine = self._engines.get(spec.name)
+        engine = self._engines.get(spec)
         if engine is None:
-            cache = self.plan_cache if self.use_plans else None
-            engine = Engine(spec, plan_cache=cache)
-            self._engines[spec.name] = engine
+            engine = Engine(spec, plan_cache=self.plan_cache)
+            self._engines[spec] = engine
         return engine
 
     def service_time(self, workload: str, bucket: int,
                      spec: GPUSpec) -> float:
         """Priced seconds to execute one ``bucket``-sized batch."""
-        key = (workload, bucket, spec.name)
+        key = (workload, bucket, spec)
         cached = self._times.get(key)
         if cached is None:
             from repro.workloads import build_cached
             graph = build_cached(workload, batch=bucket)
             module = self.service.compile(graph, self.compiler, spec)
-            engine = self._engine(spec)
-            if self.use_plans:
-                cached = engine.plan(module).total_time
-            else:
-                cached = engine.price_profile(module).total_time
+            cached = self._engine(spec).plan(module).total_time
             self._times[key] = cached
         return cached
 
@@ -140,6 +131,9 @@ class Worker:
         self.busy_until = 0.0
         self.busy_seconds = 0.0
         self.executions: list[Execution] = []
+        # Per-batch lookups skip the oracle: its key hashes every field
+        # of the spec, and this worker's spec never changes.
+        self._durations: dict[tuple[str, int], float] = {}
 
     def idle_at(self, now: float) -> bool:
         """True when the worker can start a batch at ``now``."""
@@ -153,8 +147,12 @@ class Worker:
         only dispatching to an idle worker.
         """
         start = max(now, self.busy_until)
-        duration = self.oracle.service_time(batch.workload, batch.bucket,
-                                            self.spec)
+        key = (batch.workload, batch.bucket)
+        duration = self._durations.get(key)
+        if duration is None:
+            duration = self.oracle.service_time(batch.workload,
+                                                batch.bucket, self.spec)
+            self._durations[key] = duration
         end = start + duration
         self.busy_until = end
         self.busy_seconds += duration

@@ -22,7 +22,7 @@ def _key(graph, compiler=None, spec=V100, optimize=False):
     compiler = compiler or AStitchCompiler()
     return CacheKey(compiler=compiler_fingerprint(compiler),
                     graph=graph_fingerprint(graph),
-                    spec=spec.name, optimize=optimize)
+                    spec=spec, optimize=optimize)
 
 
 def _compile(graph, compiler=None, spec=V100):

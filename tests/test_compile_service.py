@@ -1,5 +1,6 @@
 """Tests for the parallel, deduplicating compile service."""
 
+import dataclasses
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.gpu.spec import V100
 from repro.runtime import JitCache, Session
 from repro.runtime.compile_cache import CompileCache
 from repro.runtime.compile_service import CompileService
+from repro.runtime.plan import module_pricing_signature
 from repro.workloads import micro
 
 
@@ -60,6 +62,21 @@ class TestCaching:
         assert m1 is m2
         assert compiler.calls == 1
         assert service.cache.stats.hits == 1
+
+    def test_same_name_specs_compile_apart(self):
+        # Two specs sharing the name "V100" but not the SM count must not
+        # share an artifact: the key holds the whole spec.
+        service = _service()
+        graph = micro.softmax_graph(64, 32)
+        fewer_sms = dataclasses.replace(V100, num_sms=20)
+        full = service.compile(graph, AStitchCompiler(), V100)
+        small = service.compile(graph, AStitchCompiler(), fewer_sms)
+        assert small is not full
+        direct = AStitchCompiler().compile(graph, fewer_sms)
+        assert (module_pricing_signature(small)
+                == module_pricing_signature(direct))
+        assert (module_pricing_signature(small)
+                != module_pricing_signature(full))
 
     def test_inline_mode_compiles_and_caches(self):
         service = _service(max_workers=0)

@@ -11,7 +11,9 @@ dividers); every compiler must then:
 * never *increase* FP instructions relative to the non-fusing baseline
   (AStitch only; TVM intentionally does);
 * respect hardware limits (block size, shared memory, barrier-legal
-  grids).
+  grids);
+* price through a cached plan exactly as the scalar reference
+  ``Engine.price_profile`` does, counters included.
 """
 
 import numpy as np
@@ -20,9 +22,11 @@ from hypothesis import given, settings, strategies as st
 from repro.codegen.builder import kernel_cost_inputs
 from repro.compilers import TensorFlowCompiler, TVMCompiler, XLACompiler
 from repro.core import AStitchCompiler, AStitchConfig
-from repro.gpu.spec import V100
+from repro.gpu.spec import T4, V100
 from repro.ir.builder import GraphBuilder
 from repro.ir.interpreter import evaluate, random_feeds
+from repro.runtime.engine import Engine
+from repro.runtime.plan import PlanCache
 
 UNARY_OPS = ["tanh", "exp", "sigmoid", "relu", "negate", "abs", "sqrt"]
 BINARY_OPS = ["add", "subtract", "multiply", "maximum", "minimum"]
@@ -178,3 +182,16 @@ class TestStructuralInvariants:
         tf = traffic(TensorFlowCompiler().compile(graph))
         astitch = traffic(AStitchCompiler().compile(graph))
         assert astitch <= tf * 1.0001
+
+
+class TestPlanOracle:
+    @given(random_graphs())
+    @settings(max_examples=25, deadline=None)
+    def test_cached_plan_equals_scalar_pricing(self, graph):
+        for spec in (V100, T4):
+            planned = Engine(spec, plan_cache=PlanCache())
+            scalar = Engine(spec, plan_cache=None)
+            for name, compiler_cls in ALL_COMPILERS:
+                module = compiler_cls().compile(graph, spec)
+                assert planned.plan(module) == scalar.price_profile(module), \
+                    f"{name} on {spec.name}"

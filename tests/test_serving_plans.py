@@ -1,46 +1,36 @@
 """Serving through the plan layer: same numbers, fewer pricings.
 
-The plan cache is a pure wall-clock optimization — every simulated
-metric a load test or capacity search reports must be bit-identical
-with ``use_plans=True`` and ``use_plans=False``.
+The plan cache is a pure wall-clock optimization — every service time
+the oracle serves must equal the scalar reference pricing
+(``Engine(spec, plan_cache=None).price_profile``) bit for bit.
 """
+
+import dataclasses
+
+import pytest
 
 from repro.core import AStitchCompiler
 from repro.gpu.spec import T4, V100
+from repro.runtime.engine import Engine
 from repro.runtime.plan import PlanCache
 from repro.serving.batcher import DynamicBatcher
 from repro.serving.cluster import Cluster
-from repro.serving.harness import max_sustainable_qps, run_loadtest
 from repro.serving.worker import ServiceTimeOracle, make_fleet
+from repro.workloads import build_cached
 
 
-class TestLoadtestDeterminism:
-    def test_report_identical_with_and_without_plans(self):
-        kwargs = dict(qps=40.0, duration=3.0, specs=(V100, T4),
-                      max_batch=4, seed=3)
-        _, fast = run_loadtest({"CRNN": 40.0, "Transformer": 25.0},
-                               use_plans=True, **kwargs)
-        _, slow = run_loadtest({"CRNN": 40.0, "Transformer": 25.0},
-                               use_plans=False, **kwargs)
-        assert fast.as_dict() == slow.as_dict()
-
-    def test_request_timelines_identical(self):
-        fast_result, _ = run_loadtest("CRNN", qps=60.0, duration=2.0,
-                                      seed=1, use_plans=True)
-        slow_result, _ = run_loadtest("CRNN", qps=60.0, duration=2.0,
-                                      seed=1, use_plans=False)
-        fast = [(r.arrival, r.completed) for r in fast_result.requests]
-        slow = [(r.arrival, r.completed) for r in slow_result.requests]
-        assert fast == slow
-
-
-class TestCapacitySearchDeterminism:
-    def test_capacity_identical_with_and_without_plans(self):
-        kwargs = dict(duration=2.0, seed=0, start_qps=8.0,
-                      relative_resolution=0.25)
-        fast = max_sustainable_qps("CRNN", use_plans=True, **kwargs)
-        slow = max_sustainable_qps("CRNN", use_plans=False, **kwargs)
-        assert fast.qps == slow.qps
+class TestOracleMatchesScalarPricing:
+    @pytest.mark.parametrize("bucket", [1, 2, 4])
+    @pytest.mark.parametrize("spec", [V100, T4], ids=lambda s: s.name)
+    @pytest.mark.parametrize("workload", ["CRNN", "Transformer"])
+    def test_service_time_equals_price_profile(self, workload, spec,
+                                               bucket):
+        oracle = ServiceTimeOracle(AStitchCompiler(), plan_cache=PlanCache())
+        module = oracle.service.compile(build_cached(workload, batch=bucket),
+                                        oracle.compiler, spec)
+        reference = Engine(spec, plan_cache=None).price_profile(module)
+        assert oracle.service_time(workload, bucket, spec) \
+            == reference.total_time
 
 
 class TestOracleSharing:
@@ -54,14 +44,20 @@ class TestOracleSharing:
         # repeat lookup is served by the oracle's own memo or the cache.
         assert cache.stats.misses <= 1
 
+    def test_same_name_specs_priced_apart(self):
+        # A half-bandwidth "V100" shares V100's name, never its time.
+        half = dataclasses.replace(V100,
+                                   dram_bandwidth=V100.dram_bandwidth / 2)
+        oracle = ServiceTimeOracle(AStitchCompiler(), plan_cache=PlanCache())
+        full_time = oracle.service_time("CRNN", 1, V100)
+        half_time = oracle.service_time("CRNN", 1, half)
+        fresh = ServiceTimeOracle(AStitchCompiler(), plan_cache=PlanCache())
+        assert half_time == fresh.service_time("CRNN", 1, half)
+        assert half_time > full_time
+
     def test_cluster_exposes_oracle_plan_cache(self):
         cache = PlanCache()
         oracle = ServiceTimeOracle(AStitchCompiler(), plan_cache=cache)
         cluster = Cluster(make_fleet([V100], oracle),
                           DynamicBatcher(max_batch=4))
-        assert cluster.plan_cache is cache
-
-    def test_slow_path_oracle_has_no_cache(self):
-        oracle = ServiceTimeOracle(AStitchCompiler(), use_plans=False)
-        assert oracle.plan_cache is None
-        assert oracle.service_time("CRNN", 1, V100) > 0.0
+        assert cluster.oracle.plan_cache is cache

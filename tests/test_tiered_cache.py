@@ -69,7 +69,7 @@ def _compile_tier(module, plan) -> Tier:
     def key(spec):
         return CacheKey(compiler=compiler_fingerprint(AStitchCompiler()),
                         graph=graph_fingerprint(module.graph),
-                        spec=spec.name, optimize=False)
+                        spec=spec, optimize=False)
     return Tier(CompileCache, "", CACHE_FORMAT_VERSION, "module",
                 key(V100), key(T4), module, plan,
                 lambda a, b: (module_pricing_signature(a)
